@@ -26,7 +26,7 @@ sensvet:
 # ci is the full pre-merge pipeline: the tier-1 gate (build + vet + test),
 # the doc-comment lint, the determinism lints, the race-detector pass over
 # every internal and cmd package, the short-mode daemon e2e flow under
-# -race, a short fuzz smoke over the fault-schedule builder, and a
+# -race, a short fuzz smoke over every fuzz target, and a
 # benchmark run diffed against the checked-in baseline, flagging >10% time
 # regressions. Set BENCH_STRICT=1 (time) or BENCH_STRICT_ALLOCS=1 (allocs)
 # to turn flags into a non-zero exit.
@@ -63,13 +63,16 @@ e2e:
 # fault-schedule builder must never panic and alive-sets must shrink
 # monotonically for any input; trajectory sampling must keep every position
 # inside the box and the kinetic spatial index consistent with brute force
-# under arbitrary move sequences. Ten seconds is a smoke test, not a
-# campaign — run longer fuzzes with 'go test ./internal/fault
-# -fuzz=FuzzSchedule' or 'go test ./internal/mobility -fuzz=FuzzTrajectory'
-# directly.
+# under arbitrary move sequences; the HNG kinetic maintainer must match its
+# retract-all/re-emit-all oracle and a from-scratch rebuild after every
+# move and death of a lattice deployment. Ten seconds is a smoke test, not
+# a campaign — run longer fuzzes with 'go test ./internal/fault
+# -fuzz=FuzzSchedule', 'go test ./internal/mobility -fuzz=FuzzTrajectory'
+# or 'go test ./internal/hng -fuzz=FuzzHNGKinetic' directly.
 fuzz-smoke:
 	$(GO) test ./internal/fault -run='^$$' -fuzz=FuzzSchedule -fuzztime=10s
 	$(GO) test ./internal/mobility -run='^$$' -fuzz=FuzzTrajectory -fuzztime=10s
+	$(GO) test ./internal/hng -run='^$$' -fuzz=FuzzHNGKinetic -fuzztime=10s
 
 # bench runs every benchmark once with allocation reporting — the quick
 # "did I regress the pipeline" check.

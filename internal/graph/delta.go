@@ -22,6 +22,7 @@ type Delta struct {
 	base    *CSR
 	touched map[int32][]int32 // full replacement adjacency per touched vertex
 	edges   int               // current undirected edge count
+	muts    int               // undirected edges inserted or deleted so far
 }
 
 // NewDelta returns an empty overlay over base.
@@ -37,6 +38,10 @@ func (d *Delta) NumVertices() int { return d.base.N }
 
 // EdgeCount returns the current undirected edge count through the overlay.
 func (d *Delta) EdgeCount() int { return d.edges }
+
+// Mutations returns how many undirected edges AddEdge and RemoveEdge have
+// actually inserted or deleted — the overlay's write-work counter.
+func (d *Delta) Mutations() int { return d.muts }
 
 // Touched returns the number of vertices with overlay adjacencies.
 func (d *Delta) Touched() int { return len(d.touched) }
@@ -112,6 +117,7 @@ func (d *Delta) AddEdge(u, v int32) bool {
 	}
 	d.insertSorted(v, u)
 	d.edges++
+	d.muts++
 	return true
 }
 
@@ -125,6 +131,7 @@ func (d *Delta) RemoveEdge(u, v int32) bool {
 	}
 	d.deleteSorted(v, u)
 	d.edges--
+	d.muts++
 	return true
 }
 

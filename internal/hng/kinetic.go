@@ -16,16 +16,19 @@ type KineticStats struct {
 	// LinkRecomputes counts nearest-neighbor link re-queries (a node's
 	// up-link and within-link recomputed together count once).
 	LinkRecomputes int
-	// GroupRecomputes counts pruning groups re-sorted and re-emitted.
+	// GroupRecomputes counts pruning groups whose edges were re-derived.
 	GroupRecomputes int
 	// MSTRecomputes counts top-level spanning tree rebuilds.
 	MSTRecomputes int
-	// EdgeChanges counts undirected edges added or removed in the overlay.
+	// EdgeChanges counts emission-refcount transitions 1→0 and 0→1: edges
+	// added to or removed from the overlay, plus two for every edge a group
+	// recompute drops and restores in one pass.
 	EdgeChanges int
 }
 
-// kGroup is the live state of one pruning group (parent, child level):
-// its member set (unsorted) and the edges it currently emits.
+// kGroup is the live state of one pruning group (parent, child level): its
+// members, kept in (distance-to-parent, child) order between recomputes, and
+// the edges it currently emits.
 type kGroup struct {
 	members []int32
 	edges   []uint64
@@ -88,8 +91,13 @@ type Kinetic struct {
 	queryBuf []int32
 	seen     []bool
 	dirty    map[uint64]struct{}
-	sortBuf  []int32
 	keyBuf   []uint64
+	edgeBuf  []uint64
+	zeroBuf  []uint64
+
+	// recompute regenerates one dirty pruning group; always recomputeGroup
+	// outside tests, which swap in the retract-all/re-emit-all oracle.
+	recompute func(k *Kinetic, key uint64, g *kGroup)
 }
 
 // groupKey packs a (parent, child level) pruning-group identity.
@@ -102,6 +110,11 @@ func groupKey(parent, level int32) uint64 {
 // mobility models); h's positions, levels and edges seed the state, and
 // h.CSR becomes the immutable base of the edge overlay.
 func NewKinetic(h *Graph, box geom.Rect) *Kinetic {
+	return newKinetic(h, box, (*Kinetic).recomputeGroup)
+}
+
+// newKinetic is NewKinetic with an explicit group-recompute strategy.
+func newKinetic(h *Graph, box geom.Rect, recompute func(*Kinetic, uint64, *kGroup)) *Kinetic {
 	n := len(h.Pos)
 	k := &Kinetic{
 		spec:       h.Spec,
@@ -118,6 +131,7 @@ func NewKinetic(h *Graph, box geom.Rect) *Kinetic {
 		delta:      graph.NewDelta(h.CSR),
 		seen:       make([]bool, n),
 		dirty:      make(map[uint64]struct{}),
+		recompute:  recompute,
 	}
 	for i := range k.alive {
 		k.alive[i] = true
@@ -283,15 +297,12 @@ func (k *Kinetic) groupAdd(p, u int32, dirty map[uint64]struct{}) {
 }
 
 // groupRemove unregisters child u from parent p and marks the group dirty.
+// The delete is in place, so the remaining members keep their order.
 func (k *Kinetic) groupRemove(p, u int32, dirty map[uint64]struct{}) {
 	key := groupKey(p, k.levels[u])
 	g := k.groups[key]
-	for i, m := range g.members {
-		if m == u {
-			g.members[i] = g.members[len(g.members)-1]
-			g.members = g.members[:len(g.members)-1]
-			break
-		}
+	if i := slices.Index(g.members, u); i >= 0 {
+		g.members = slices.Delete(g.members, i, i+1)
 	}
 	dirty[key] = struct{}{}
 }
@@ -347,45 +358,92 @@ func (k *Kinetic) relink(u int32, dirty map[uint64]struct{}) {
 	}
 }
 
-// recomputeGroup re-sorts one pruning group by (distance-to-parent, child)
-// and re-emits its direct and chain edges, exactly mirroring the static
-// builder's per-group chaining.
+// compareMembers orders pruning-group members by (distance-to-parent,
+// child index) — the static builder's per-group chaining order.
+func (k *Kinetic) compareMembers(a, b int32) int {
+	if da, db := k.parentDist[a], k.parentDist[b]; da != db {
+		if da < db {
+			return -1
+		}
+		return 1
+	}
+	return int(a - b)
+}
+
+// sortMembers restores the (distance-to-parent, child) order of a group's
+// members in place. Between recomputes a group stays sorted except for the
+// members groupAdd appended and those whose parentDist relink changed, so an
+// adaptive insertion pass costs O(len + displacement). The initial flush
+// sees members in index order instead, and sorts them once in full.
+func (k *Kinetic) sortMembers(ms []int32) {
+	if k.init {
+		slices.SortFunc(ms, k.compareMembers)
+		return
+	}
+	for i := 1; i < len(ms); i++ {
+		m, j := ms[i], i
+		for ; j > 0 && k.compareMembers(m, ms[j-1]) < 0; j-- {
+			ms[j] = ms[j-1]
+		}
+		ms[j] = m
+	}
+}
+
+// recomputeGroup re-derives one pruning group's direct and chain edges from
+// its sorted members, exactly mirroring the static builder's per-group
+// chaining, and applies only the net change to the overlay. Old sources are
+// dropped first with edges left in ref at 0, new sources are added next, and
+// only old edges still at 0 leave the overlay — so an edge the group keeps
+// costs two refcount updates and no Delta mutation. EdgeChanges still counts
+// every 1→0 and 0→1 transition, including a drop-and-restore of one kept
+// edge, exactly as a retract-all/re-emit-all recompute would.
 func (k *Kinetic) recomputeGroup(key uint64, g *kGroup) {
 	k.stats.GroupRecomputes++
-	for _, e := range g.edges {
-		u, v := graph.Unpack(e)
-		k.retract(u, v)
+	k.sortMembers(g.members)
+	parent := int32(key >> 8)
+	maxKids := k.spec.MaxChildren
+	next := k.edgeBuf[:0]
+	for i, child := range g.members {
+		if maxKids == 0 || i < maxKids {
+			next = append(next, graph.Pack(parent, child))
+		} else {
+			next = append(next, graph.Pack(g.members[i-maxKids], child))
+		}
 	}
-	g.edges = g.edges[:0]
+	k.edgeBuf = next
+
+	zeroed := k.zeroBuf[:0]
+	for _, e := range g.edges {
+		c := k.ref[e] - 1
+		k.ref[e] = c
+		if c == 0 {
+			zeroed = append(zeroed, e)
+			k.stats.EdgeChanges++
+		}
+	}
+	k.zeroBuf = zeroed
+	for _, e := range next {
+		c, held := k.ref[e]
+		k.ref[e] = c + 1
+		if c == 0 {
+			k.stats.EdgeChanges++
+			if !held && !k.init {
+				k.delta.AddEdge(graph.Unpack(e))
+			}
+		}
+	}
+	for _, e := range zeroed {
+		if k.ref[e] == 0 {
+			delete(k.ref, e)
+			k.delta.RemoveEdge(graph.Unpack(e))
+		}
+	}
+
 	if len(g.members) == 0 {
 		delete(k.groups, key)
 		return
 	}
-	parent := int32(key >> 8)
-	k.sortBuf = append(k.sortBuf[:0], g.members...)
-	members := k.sortBuf
-	slices.SortFunc(members, func(a, b int32) int {
-		da, db := k.parentDist[a], k.parentDist[b]
-		if da != db {
-			if da < db {
-				return -1
-			}
-			return 1
-		}
-		return int(a - b)
-	})
-	maxKids := k.spec.MaxChildren
-	for i, child := range members {
-		var e uint64
-		if maxKids == 0 || i < maxKids {
-			e = graph.Pack(parent, child)
-		} else {
-			e = graph.Pack(members[i-maxKids], child)
-		}
-		g.edges = append(g.edges, e)
-		u, v := graph.Unpack(e)
-		k.emit(u, v)
-	}
+	g.edges = append(g.edges[:0], next...)
 }
 
 // rebuildMST re-derives the top-level spanning tree from the current alive
@@ -506,7 +564,7 @@ func (k *Kinetic) flushDirty() {
 	slices.Sort(k.keyBuf)
 	for _, key := range k.keyBuf {
 		if g, ok := k.groups[key]; ok {
-			k.recomputeGroup(key, g)
+			k.recompute(k, key, g)
 		}
 		delete(k.dirty, key)
 	}
